@@ -6,6 +6,8 @@ package sampleunion
 import (
 	"fmt"
 	"testing"
+
+	"sampleunion/internal/tpch"
 )
 
 // BenchmarkUnionSample measures steady-state sampling throughput of
@@ -322,6 +324,45 @@ func BenchmarkMutateThenDraw(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSessionRefreshAppend measures the ingest path's refresh: a
+// histogram session over UQ1 at SF 1 absorbs a 64-row append to
+// lineitem_v0 (joining order keys, fresh line numbers), then Refresh
+// re-reads the statistics and re-estimates. The rows grow by 64 per
+// iteration, as they do under a live ingest stream.
+func BenchmarkSessionRefreshAppend(b *testing.B) {
+	w, err := tpch.UQ1(tpch.Config{SF: 1, Overlap: 0.2, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	u, err := NewUnion(w.Joins...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := u.Prepare(Options{Warmup: WarmupHistogram, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var lineitem *Relation
+	for _, n := range w.Joins[0].Nodes() {
+		if n.Rel.Name() == "lineitem_v0" {
+			lineitem = n.Rel
+		}
+	}
+	rows := make([]Tuple, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range rows {
+			n := i*len(rows) + k
+			rows[k] = Tuple{Value(n % tpch.Rows.Orders), Value(1_000_000_000 + n), Value(1 + n%50), Value(n % 100000)}
+		}
+		lineitem.AppendRows(rows)
+		if err := s.Refresh(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 func benchUnion(b *testing.B) *Union {

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"sampleunion/internal/relation"
+	"sampleunion/internal/stats"
 )
 
 // Mode selects how Theorem 4's degree factors are instantiated.
@@ -92,12 +93,12 @@ func firstHop(profiles []*Profile) (float64, error) {
 			return 0, fmt.Errorf("histest: join %s: %w", p.Join.Name(), err)
 		}
 		hs[i] = hist{h0, h1}
-		if n := h0.distinct(); n < smallestSize {
+		if n := h0.as.Distinct(); n < smallestSize {
 			smallest, smallestSize = i, n
 		}
 	}
 	sum := 0.0
-	for _, v := range hs[smallest].h0.values() {
+	for _, v := range hs[smallest].h0.as.Values() {
 		min := math.Inf(1)
 		for i := range hs {
 			term := hs[i].h0.degree(v) * hs[i].h1.degree(v)
@@ -143,26 +144,18 @@ func hopFactor(profiles []*Profile, i int, mode Mode) (float64, error) {
 // histogramView exposes an entry's degree function for one attribute,
 // scaled by the entry's path factor.
 type histogramView struct {
-	entry Entry
-	attr  string
+	as     *stats.AttrStats
+	factor float64
 }
 
 func histView(e Entry, attr string) (histogramView, error) {
-	if _, err := e.Stats.Attr(attr); err != nil {
+	as, err := e.Stats.Attr(attr)
+	if err != nil {
 		return histogramView{}, err
 	}
-	return histogramView{entry: e, attr: attr}, nil
+	return histogramView{as, e.PathFactor}, nil
 }
 
 func (h histogramView) degree(v relation.Value) float64 {
-	as := h.entry.Stats.Attrs[h.attr]
-	return float64(as.Freq[v]) * h.entry.PathFactor
-}
-
-func (h histogramView) distinct() int {
-	return h.entry.Stats.Attrs[h.attr].Distinct()
-}
-
-func (h histogramView) values() []relation.Value {
-	return h.entry.Stats.Attrs[h.attr].Values()
+	return float64(h.as.Degree(v)) * h.factor
 }

@@ -212,7 +212,7 @@ func (s *Server) followEntry(e *Entry) {
 				e.appendMu.Lock()
 				defer e.appendMu.Unlock()
 				e.mutated.Store(true)
-				return e.Sess.Refresh()
+				return s.refresh(e)
 			},
 		}
 		if e.durable != nil {

@@ -264,8 +264,8 @@ type apiError struct {
 }
 
 // handle wraps an endpoint: admission control and a request deadline
-// (draw endpoints only), latency observation, and the JSON
-// response/error envelope.
+// (draw endpoints only), latency observation through the written
+// response, and the JSON response/error envelope.
 func (s *Server) handle(name string, admit bool, fn func(*http.Request) (any, error)) http.HandlerFunc {
 	m := s.metrics.endpoint(name)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -296,8 +296,8 @@ func (s *Server) handle(name string, admit bool, fn func(*http.Request) (any, er
 		if !admit || s.timeout <= 0 {
 			payload, err := fn(r)
 			release()
-			m.observe(time.Since(start), err != nil)
 			s.writeResult(w, payload, err)
+			m.observe(time.Since(start), err != nil)
 			return
 		}
 		// Deadline watchdog: the draw runs in its own goroutine so a
@@ -319,18 +319,18 @@ func (s *Server) handle(name string, admit bool, fn func(*http.Request) (any, er
 		select {
 		case res := <-done:
 			release()
-			m.observe(time.Since(start), res.err != nil)
 			s.writeResult(w, res.payload, res.err)
+			m.observe(time.Since(start), res.err != nil)
 		case <-ctx.Done():
 			go func() {
 				<-done
 				release()
 			}()
 			s.metrics.rejected.Add(1)
-			m.observe(time.Since(start), true)
 			w.Header().Set("Retry-After", "1")
 			writeJSON(w, http.StatusServiceUnavailable,
 				apiError{Error: fmt.Sprintf("serve: request exceeded the %v deadline", s.timeout)})
+			m.observe(time.Since(start), true)
 		}
 	}
 }
@@ -657,6 +657,16 @@ type refreshResponse struct {
 	UnionSize float64 `json:"union_size"`
 }
 
+// refresh refreshes an entry's session and records its duration in the
+// session_refresh histogram, for the primary's appends and refreshes
+// and the follower's applies alike.
+func (s *Server) refresh(e *Entry) error {
+	start := time.Now()
+	err := e.Sess.Refresh()
+	s.metrics.endpoint("session_refresh").observe(time.Since(start), err != nil)
+	return err
+}
+
 func (s *Server) handleRefresh(r *http.Request) (any, error) {
 	var req unionRequest
 	if err := decode(r, &req); err != nil {
@@ -667,7 +677,7 @@ func (s *Server) handleRefresh(r *http.Request) (any, error) {
 		return nil, err
 	}
 	stale := e.Sess.Stale()
-	if err := e.Sess.Refresh(); err != nil {
+	if err := s.refresh(e); err != nil {
 		return nil, err
 	}
 	return refreshResponse{Refreshed: stale, UnionSize: e.Sess.UnionSize()}, nil
@@ -785,7 +795,7 @@ func (s *Server) handleAppend(r *http.Request) (any, error) {
 		s.hub.Wake(e.Key, name)
 	}
 	resp := appendResponse{Appended: len(rows), Refreshed: true, Durable: e.durable != nil}
-	if err := e.Sess.Refresh(); err != nil {
+	if err := s.refresh(e); err != nil {
 		// The rows are committed; a 500 here would invite a retry that
 		// duplicates them. Report the partial outcome instead.
 		resp.Refreshed = false

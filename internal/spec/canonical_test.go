@@ -71,3 +71,22 @@ func TestFingerprint(t *testing.T) {
 		t.Fatalf("want 64 hex chars, got %d", len(f1))
 	}
 }
+
+// TestCanonicalLineLimit pins the 1 MiB line limit, newline included:
+// the scanner buffer grows on demand, but never past it.
+func TestCanonicalLineLimit(t *testing.T) {
+	const limit = 1 << 20
+	line := func(n int) string { // n bytes, newline included
+		return "rel x " + strings.Repeat("y", n-len("rel x ")-1) + "\n"
+	}
+	got, err := Canonical(strings.NewReader("chain J x k x\n" + line(limit)))
+	if err != nil {
+		t.Fatalf("line of exactly the limit: %v", err)
+	}
+	if want := "chain J x k x\n" + line(limit); got != want {
+		t.Fatalf("canonical form of a limit-length line changed (len %d, want %d)", len(got), len(want))
+	}
+	if _, err := Canonical(strings.NewReader("chain J x k x\n" + line(limit+1))); err == nil {
+		t.Fatal("line one byte past the limit canonicalized")
+	}
+}

@@ -54,8 +54,10 @@ func TestBuildRelStats(t *testing.T) {
 	if rs.Size != 5 {
 		t.Errorf("Size = %d", rs.Size)
 	}
-	if len(rs.Attrs) != 2 {
-		t.Fatalf("Attrs = %d, want 2", len(rs.Attrs))
+	for _, name := range []string{"k", "v"} {
+		if a, err := rs.Attr(name); err != nil || a.Attr != name || a.Total != 5 {
+			t.Fatalf("Attr(%s) = %+v, %v", name, a, err)
+		}
 	}
 	if _, err := rs.Attr("k"); err != nil {
 		t.Errorf("Attr(k): %v", err)
